@@ -12,63 +12,38 @@ This exists to validate the AMVA fixed point
 throughputs and response times between the two on matched networks.
 It also records the paper's Q and U counters the way hardware would —
 queue length seen at arrival, bus backlog seen at departure readiness.
+
+Random stream contract: one generator, ``np.random.default_rng(seed)``,
+drawn in event order — one uniform per foreground arrival (its bank,
+by inverse CDF over the class's routing row, as ``Generator.choice``
+picks it) and one standard exponential per think, bank-service or
+background inter-arrival draw (scaled by the mean; a think mean of
+zero draws nothing).  A given seed yields the same result bytes as the
+earlier ``choice``/``exponential`` formulation; the test suite checks
+that against the verbatim copy in ``benchmarks/seed_reference.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.queueing.arrays import NetworkArrays
-from repro.queueing.network import QueueingNetwork
 
 _ARRIVAL = 0
 _BANK_DONE = 1
 _BUS_DONE = 2
 _BG_ARRIVAL = 3
 
-
-@dataclass
-class _Job:
-    class_index: int  # -1 for background jobs
-    bank: int
-    arrived_at: float
-    service_started: float = 0.0
-
-
-@dataclass
-class _Bank:
-    index: int
-    controller: int
-    service_s: float
-    queue: Deque[_Job] = field(default_factory=deque)
-    #: Job currently being served or blocked on the bus; None if idle.
-    current: Optional[_Job] = None
-    busy_since: float = 0.0
-    busy_time: float = 0.0
-    #: Time-weighted queue-length integral (including job in service).
-    queue_area: float = 0.0
-    last_change: float = 0.0
-
-    def accumulate(self, now: float) -> None:
-        depth = len(self.queue) + (1 if self.current is not None else 0)
-        self.queue_area += depth * (now - self.last_change)
-        self.last_change = now
-
-
-@dataclass
-class _Bus:
-    controller: int
-    transfer_s: float
-    queue: Deque[Tuple[_Job, int]] = field(default_factory=deque)
-    current: Optional[Tuple[_Job, int]] = None
-    busy_time: float = 0.0
+#: ``Generator.choice``'s tolerance on a probability row's sum.
+_ROUTING_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -89,6 +64,31 @@ class EventSimResult:
     u_counter: np.ndarray
     simulated_time_s: float
     completions: np.ndarray
+
+
+def _routing_cdf(row: np.ndarray) -> List[float]:
+    """Validate one routing row as ``Generator.choice`` does; return its CDF.
+
+    ``choice(n, p=row)`` returns ``searchsorted(cdf, random(), "right")``
+    with ``cdf = row.cumsum() / row.cumsum()[-1]``; ``bisect_right`` on
+    this list picks the same bank from the same uniform.
+    """
+    total = float(row.sum())
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (row < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _ROUTING_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = row.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _mean_seen(sums: List[float], counts: List[int]) -> np.ndarray:
+    """Per-controller mean of a seen-at-event counter; 1.0 where never seen."""
+    counts = np.array(counts, dtype=np.int64)
+    return np.where(counts > 0, np.array(sums) / np.maximum(counts, 1), 1.0)
 
 
 def simulate_network(
@@ -118,181 +118,153 @@ def simulate_network(
         else NetworkArrays.from_network(network)
     )
     rng = np.random.default_rng(seed)
+    uniform = rng.random
+    std_exp = rng.standard_exponential
     n_classes = arrays.n_classes
-    routing = arrays.routing
-    bank_ctrl = arrays.bank_ctrl
-    bank_service = arrays.bank_service
-    bus_transfer = arrays.bus_transfer
-    bg_rates = arrays.bg_rates
     n_banks = arrays.total_banks
     n_ctrl = arrays.n_controllers
-    population = arrays.population
-
-    banks = [
-        _Bank(index=b, controller=int(bank_ctrl[b]), service_s=float(bank_service[b]))
-        for b in range(n_banks)
-    ]
-    buses = [_Bus(controller=k, transfer_s=float(bus_transfer[k])) for k in range(n_ctrl)]
-
-    counter = itertools.count()
-    events: List[Tuple[float, int, int, object]] = []
-
-    def push(when: float, kind: int, payload: object) -> None:
-        heapq.heappush(events, (when, next(counter), kind, payload))
-
     think_means = arrays.think_s
+    population = [int(p) for p in arrays.population]
+    think = think_means.tolist()
+    # Only classes with jobs ever pick a bank, so only their rows are checked.
+    cdfs = [
+        _routing_cdf(arrays.routing[ci]) if population[ci] > 0 else None
+        for ci in range(n_classes)
+    ]
+    bank_ctrl = arrays.bank_ctrl.tolist()
+    if np.signbit(arrays.bank_service).any():
+        # Generator.exponential's own check on a negative mean.
+        raise ValueError("scale < 0")
+    bank_service = arrays.bank_service.tolist()
+    bus_transfer = arrays.bus_transfer.tolist()
+    bg_rates = arrays.bg_rates.tolist()
 
-    def sample_think(ci: int) -> float:
-        mean = think_means[ci]
-        if mean <= 0:
-            return 0.0
-        return float(rng.exponential(mean))
+    # Station state.  A job is ``(class_index, bank, arrived_at)`` with
+    # class -1 for background; a bank's current job holds it through
+    # the bus transfer (transfer blocking).
+    bank_queue = [deque() for _ in range(n_banks)]
+    bank_current: list = [None] * n_banks
+    bank_busy_since = [0.0] * n_banks
+    bank_busy_time = [0.0] * n_banks
+    bus_queue = [deque() for _ in range(n_ctrl)]
+    bus_current: list = [None] * n_ctrl
+    bus_busy_time = [0.0] * n_ctrl
 
-    def sample_service(bank: _Bank) -> float:
-        return float(rng.exponential(bank.service_s))
+    # Measurement accumulators (per class / controller).
+    completions = [0] * n_classes
+    response_sum = [0.0] * n_classes
+    q_seen_sum = [0.0] * n_ctrl
+    q_seen_count = [0] * n_ctrl
+    u_seen_sum = [0.0] * n_ctrl
+    u_seen_count = [0] * n_ctrl
 
-    def pick_bank(ci: int) -> int:
-        return int(rng.choice(n_banks, p=routing[ci]))
-
-    # Measurement accumulators (per class / station).
-    completions = np.zeros(n_classes, dtype=np.int64)
-    response_sum = np.zeros(n_classes)
-    cycle_sum = np.zeros(n_classes)
-    q_seen_sum = np.zeros(n_ctrl)
-    q_seen_count = np.zeros(n_ctrl, dtype=np.int64)
-    u_seen_sum = np.zeros(n_ctrl)
-    u_seen_count = np.zeros(n_ctrl, dtype=np.int64)
-    cycle_started = np.zeros(n_classes)
-
-    measuring = False
-    measure_start = warmup_s
-
-    def note_arrival(job: _Job, now: float) -> None:
-        bank = banks[job.bank]
-        bank.accumulate(now)
-        if measuring and job.class_index >= 0:
-            depth = len(bank.queue) + (1 if bank.current is not None else 0)
-            q_seen_sum[bank.controller] += depth + 1  # include the arrival
-            q_seen_count[bank.controller] += 1
-        if bank.current is None:
-            bank.current = job
-            bank.busy_since = now
-            job.service_started = now
-            push(now + sample_service(bank), _BANK_DONE, bank.index)
-        else:
-            bank.queue.append(job)
-
-    def start_bus_or_queue(job: _Job, now: float) -> None:
-        bank = banks[job.bank]
-        bus = buses[bank.controller]
-        if measuring and job.class_index >= 0:
-            u_seen_sum[bus.controller] += len(bus.queue) + 1  # include self
-            u_seen_count[bus.controller] += 1
-        if bus.current is None:
-            bus.current = (job, bank.index)
-            push(now + bus.transfer_s, _BUS_DONE, bank.controller)
-            if measuring:
-                bus.busy_time += 0.0  # accounted at completion
-        else:
-            bus.queue.append((job, bank.index))
+    # Heap entries are (when, seq, kind, payload); seq breaks time ties
+    # in push order.
+    events: list = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    seq = itertools.count()
 
     # Seed the closed classes: every job starts with a think period.
     for ci in range(n_classes):
-        for _ in range(int(population[ci])):
-            push(sample_think(ci), _ARRIVAL, ci)
+        mean = think[ci]
+        for _ in range(population[ci]):
+            when = 0.0 if mean <= 0 else mean * std_exp()
+            push(events, (when, next(seq), _ARRIVAL, ci))
     # Seed background flows.
     for b in range(n_banks):
         if bg_rates[b] > 0:
-            push(float(rng.exponential(1.0 / bg_rates[b])), _BG_ARRIVAL, b)
+            push(events, ((1.0 / bg_rates[b]) * std_exp(), next(seq), _BG_ARRIVAL, b))
 
+    measuring = False
+    measure_start = warmup_s
     now = 0.0
     while events:
-        now, _, kind, payload = heapq.heappop(events)
+        now, _, kind, payload = pop(events)
         if now > horizon_s:
             now = horizon_s
             break
         if not measuring and now >= warmup_s:
+            # Nothing accrues before this point, so there is nothing to reset.
             measuring = True
             measure_start = now
-            for bank in banks:
-                bank.accumulate(now)
-                bank.queue_area = 0.0
-                bank.busy_time = 0.0
-                if bank.current is not None:
-                    bank.busy_since = now
-            for bus in buses:
-                bus.busy_time = 0.0
 
-        if kind == _ARRIVAL:
-            ci = int(payload)
-            if measuring:
-                cycle_started[ci] = now
-            job = _Job(class_index=ci, bank=pick_bank(ci), arrived_at=now)
-            note_arrival(job, now)
-        elif kind == _BG_ARRIVAL:
-            b = int(payload)
-            job = _Job(class_index=-1, bank=b, arrived_at=now)
-            note_arrival(job, now)
-            push(now + float(rng.exponential(1.0 / bg_rates[b])), _BG_ARRIVAL, b)
+        if kind == _ARRIVAL or kind == _BG_ARRIVAL:
+            if kind == _ARRIVAL:
+                ci = payload
+                b = bisect_right(cdfs[ci], uniform())
+            else:
+                ci = -1
+                b = payload
+            job = (ci, b, now)
+            if measuring and ci >= 0:
+                k = bank_ctrl[b]
+                depth = len(bank_queue[b]) + (bank_current[b] is not None)
+                q_seen_sum[k] += depth + 1  # include the arrival
+                q_seen_count[k] += 1
+            if bank_current[b] is None:
+                bank_current[b] = job
+                bank_busy_since[b] = now
+                when = now + bank_service[b] * std_exp()
+                push(events, (when, next(seq), _BANK_DONE, b))
+            else:
+                bank_queue[b].append(job)
+            if ci < 0:
+                when = now + (1.0 / bg_rates[b]) * std_exp()
+                push(events, (when, next(seq), _BG_ARRIVAL, b))
         elif kind == _BANK_DONE:
-            bank = banks[int(payload)]
-            job = bank.current
-            assert job is not None, "bank completion with no job in service"
-            # Bank stays blocked (current != None) until the bus moves
-            # this job's data: transfer blocking.
-            start_bus_or_queue(job, now)
-        elif kind == _BUS_DONE:
-            bus = buses[int(payload)]
-            assert bus.current is not None, "bus completion with no transfer"
-            job, bank_index = bus.current
-            bank = banks[bank_index]
+            # The bank stays blocked until the bus moves this job's data.
+            job = bank_current[payload]
+            k = bank_ctrl[payload]
+            if measuring and job[0] >= 0:
+                u_seen_sum[k] += len(bus_queue[k]) + 1  # include self
+                u_seen_count[k] += 1
+            if bus_current[k] is None:
+                bus_current[k] = job
+                push(events, (now + bus_transfer[k], next(seq), _BUS_DONE, k))
+            else:
+                bus_queue[k].append(job)
+        else:  # _BUS_DONE
+            k = payload
+            ci, b, arrived_at = bus_current[k]
             if measuring:
-                bus.busy_time += bus.transfer_s
+                bus_busy_time[k] += bus_transfer[k]
+                bank_busy_time[b] += now - max(bank_busy_since[b], measure_start)
             # Release the bank and start its next request, if any.
-            bank.accumulate(now)
-            if measuring:
-                bank.busy_time += now - max(bank.busy_since, measure_start)
-            bank.current = None
-            if bank.queue:
-                nxt = bank.queue.popleft()
-                bank.current = nxt
-                bank.busy_since = now
-                nxt.service_started = now
-                push(now + sample_service(bank), _BANK_DONE, bank.index)
+            bank_current[b] = None
+            if bank_queue[b]:
+                bank_current[b] = bank_queue[b].popleft()
+                bank_busy_since[b] = now
+                when = now + bank_service[b] * std_exp()
+                push(events, (when, next(seq), _BANK_DONE, b))
             # Start the next bus transfer, if queued.
-            bus.current = None
-            if bus.queue:
-                bus.current = bus.queue.popleft()
-                push(now + bus.transfer_s, _BUS_DONE, bus.controller)
+            bus_current[k] = None
+            if bus_queue[k]:
+                bus_current[k] = bus_queue[k].popleft()
+                push(events, (now + bus_transfer[k], next(seq), _BUS_DONE, k))
             # Complete the job.
-            if job.class_index >= 0:
-                ci = job.class_index
+            if ci >= 0:
                 if measuring:
                     completions[ci] += 1
-                    response_sum[ci] += now - job.arrived_at
-                    if cycle_started[ci] > 0:
-                        cycle_sum[ci] += now - job.arrived_at + (
-                            job.arrived_at - cycle_started[ci]
-                        )
-                push(now + sample_think(ci), _ARRIVAL, ci)
-        else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown event kind {kind}")
+                    response_sum[ci] += now - arrived_at
+                mean = think[ci]
+                when = now + (0.0 if mean <= 0 else mean * std_exp())
+                push(events, (when, next(seq), _ARRIVAL, ci))
 
     elapsed = max(now - measure_start, 1e-300)
-    for bank in banks:
-        bank.accumulate(now)
-        if bank.current is not None:
-            bank.busy_time += now - max(bank.busy_since, measure_start)
+    for b in range(n_banks):
+        if bank_current[b] is not None:
+            bank_busy_time[b] += now - max(bank_busy_since[b], measure_start)
 
+    completions = np.array(completions, dtype=np.int64)
     throughput = completions / elapsed
+    response_sum = np.array(response_sum)
     with np.errstate(invalid="ignore", divide="ignore"):
         response = np.where(completions > 0, response_sum / np.maximum(completions, 1), np.nan)
     turnaround = response + think_means
 
-    bank_util = np.array([min(b.busy_time / elapsed, 1.0) for b in banks])
-    bus_util = np.array([min(b.busy_time / elapsed, 1.0) for b in buses])
-    q_counter = np.where(q_seen_count > 0, q_seen_sum / np.maximum(q_seen_count, 1), 1.0)
-    u_counter = np.where(u_seen_count > 0, u_seen_sum / np.maximum(u_seen_count, 1), 1.0)
+    bank_util = np.array([min(t / elapsed, 1.0) for t in bank_busy_time])
+    bus_util = np.array([min(t / elapsed, 1.0) for t in bus_busy_time])
 
     return EventSimResult(
         throughput_per_s=throughput,
@@ -300,8 +272,8 @@ def simulate_network(
         turnaround_s=turnaround,
         bank_utilization=bank_util,
         bus_utilization=bus_util,
-        q_counter=q_counter,
-        u_counter=u_counter,
+        q_counter=_mean_seen(q_seen_sum, q_seen_count),
+        u_counter=_mean_seen(u_seen_sum, u_seen_count),
         simulated_time_s=elapsed,
         completions=completions,
     )
